@@ -13,12 +13,7 @@ scenario) the event core must perform at least 10x fewer scheduler
 evaluations than one-per-nanosecond ticking, and be faster in wall-clock.
 """
 
-from repro.sim.bench import (
-    rome_refresh_comparison,
-    streaming_conventional_comparison,
-    streaming_conventional_refresh_comparison,
-    throughput_comparison,
-)
+from repro.sim.bench import evaluation_reduction_row, throughput_comparison
 
 
 def test_event_core_speedup_over_seed(table_printer):
@@ -37,7 +32,7 @@ def test_event_core_speedup_over_seed(table_printer):
 
 
 def test_conventional_burst_trains_cut_evaluations_10x(table_printer):
-    row = streaming_conventional_comparison(total_bytes=512 * 1024)
+    row = evaluation_reduction_row("streaming_conventional", 512 * 1024)
     table_printer("Conventional burst-train gate (512 KiB streaming)", [row])
     assert row["evaluation_reduction"] >= 10.0, (
         f"burst trains only cut scheduler evaluations by "
@@ -53,9 +48,9 @@ def test_refresh_enabled_burst_trains_stay_engaged(table_printer):
     steady state) must no longer disengage the fast path -- >= 5x fewer
     scheduler evaluations than 1-ns ticking on the saturated conventional
     drain (typical ~8-9x), with the RoMe controller far above that."""
-    conventional = streaming_conventional_refresh_comparison(
-        total_bytes=512 * 1024)
-    rome = rome_refresh_comparison(total_bytes=512 * 1024)
+    conventional = evaluation_reduction_row("streaming_conventional_refresh",
+                                            512 * 1024)
+    rome = evaluation_reduction_row("rome_refresh", 512 * 1024)
     table_printer("Refresh-enabled burst-train gates (512 KiB streaming)",
                   [conventional, rome])
     assert conventional["refreshes"] > 0

@@ -142,9 +142,12 @@ class RasEngine:
         self._spared: Set[Tuple[BankKey, int]] = set()
         self._spares_used: Dict[BankKey, int] = {}
         self._row_failures: Dict[BankKey, int] = {}
-        #: Insertion-ordered set of rows ever read; the patrol scrubber
-        #: walks it round-robin (dict keys keep insertion order).
-        self._known_rows: Dict[Tuple[BankKey, int], None] = {}
+        #: Rows ever read: a set for the membership check on every read,
+        #: and the same rows in first-read order, which the patrol
+        #: scrubber walks round-robin by index (append-only, so a pass
+        #: costs O(1) however many rows are known).
+        self._known_rows: Set[Tuple[BankKey, int]] = set()
+        self._scrub_order: List[Tuple[BankKey, int]] = []
         self._scrub_cursor = 0
         interval = config.scrub_interval_ns
         self._next_scrub_ns: Optional[int] = (
@@ -174,7 +177,8 @@ class RasEngine:
         stats.reads_checked += 1
         key = (bank, row)
         if key not in self._known_rows:
-            self._known_rows[key] = None
+            self._known_rows.add(key)
+            self._scrub_order.append(key)
         spared = key in self._spared
         draw = self.model.draw(
             bank, row, now_ns, self._since_refresh(bank, row, now_ns),
@@ -277,9 +281,9 @@ class RasEngine:
         while self._next_scrub_ns is not None and self._next_scrub_ns <= now_ns:
             at_ns = self._next_scrub_ns
             self._next_scrub_ns = at_ns + interval
-            if not self._known_rows:
+            rows = self._scrub_order
+            if not rows:
                 continue
-            rows: List[Tuple[BankKey, int]] = list(self._known_rows)
             bank, row = rows[self._scrub_cursor % len(rows)]
             self._scrub_cursor += 1
             self._scrub_row(bank, row, at_ns)

@@ -17,12 +17,17 @@ Three cores are measured for the RoMe system:
 The headline ``speedup`` of a comparison row is event vs. seed-tick: the
 wall-clock improvement of this tree over the seed for the same simulated
 drain.
+
+``bench-smoke`` is split into a measure step (:func:`measure_report`,
+every report section) and a pure gate step (:func:`evaluate_gates`, the
+:data:`GATES` table applied to a report).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.controller.mc import ControllerConfig, ConventionalMemoryController
 from repro.controller.request import RequestKind
@@ -32,15 +37,19 @@ from repro.core.virtual_bank import paper_vba_config
 from repro.sim.reference import ReferenceRoMeController
 from repro.sim.traces import streaming_trace
 
+#: Version of the perf-document layout :func:`measure_report` builds;
+#: ``bench-smoke`` stamps it into the report's ``meta``.
+SCHEMA = 8
 
-def _rome_controller(core: str, enable_refresh: bool = False):
+
+def _loaded_rome(core: str, total_bytes: int, enable_refresh: bool):
+    """A RoMe controller (``seed-tick`` = the frozen seed reference) with a
+    streaming read transfer of ``total_bytes`` enqueued."""
     config = RoMeControllerConfig(num_stack_ids=1, enable_refresh=enable_refresh)
     if core == "seed-tick":
-        return ReferenceRoMeController(config=config)
-    return RoMeMemoryController(config=config)
-
-
-def _load_rome(controller, total_bytes: int) -> None:
+        controller = ReferenceRoMeController(config=config)
+    else:
+        controller = RoMeMemoryController(config=config)
     vba = paper_vba_config()
     for request in requests_for_transfer(
         total_bytes,
@@ -50,13 +59,25 @@ def _load_rome(controller, total_bytes: int) -> None:
         vbas_per_channel=vba.vbas_per_channel_per_sid,
     ):
         controller.enqueue(request)
+    return controller
+
+
+def _loaded_hbm4(total_bytes: int, enable_refresh: bool):
+    """A conventional controller with a 4 KiB-request streaming read trace
+    of ``total_bytes`` enqueued."""
+    controller = ConventionalMemoryController(
+        config=ControllerConfig(num_stack_ids=1, enable_refresh=enable_refresh)
+    )
+    for request in streaming_trace(total_bytes, request_bytes=4096,
+                                   kind=RequestKind.READ):
+        controller.enqueue(request)
+    return controller
 
 
 def measure_rome_core(core: str, total_bytes: int = 512 * 1024,
                       enable_refresh: bool = False) -> Dict[str, Any]:
     """Drain a streaming read trace; returns simulated-ns/wall-second."""
-    controller = _rome_controller(core, enable_refresh)
-    _load_rome(controller, total_bytes)
+    controller = _loaded_rome(core, total_bytes, enable_refresh)
     start = time.perf_counter()
     if core == "tick":
         end_ns = controller.run_until_idle(event_driven=False)
@@ -81,12 +102,7 @@ def measure_rome_core(core: str, total_bytes: int = 512 * 1024,
 def measure_hbm4_core(core: str, total_bytes: int = 96 * 1024,
                       enable_refresh: bool = False) -> Dict[str, Any]:
     """Drain a streaming read trace on the conventional controller."""
-    controller = ConventionalMemoryController(
-        config=ControllerConfig(num_stack_ids=1, enable_refresh=enable_refresh)
-    )
-    for request in streaming_trace(total_bytes, request_bytes=4096,
-                                   kind=RequestKind.READ):
-        controller.enqueue(request)
+    controller = _loaded_hbm4(total_bytes, enable_refresh)
     start = time.perf_counter()
     end_ns = controller.run_until_idle(event_driven=(core == "event"))
     wall_s = max(time.perf_counter() - start, 1e-9)
@@ -131,65 +147,40 @@ def _tick_vs_event(measure, total_bytes: int, repeats: int,
     }
 
 
-def _hbm4_tick_vs_event(total_bytes: int, repeats: int,
-                        enable_refresh: bool = False) -> Dict[str, Any]:
-    """Conventional-controller specialization of :func:`_tick_vs_event`."""
-    return _tick_vs_event(measure_hbm4_core, total_bytes, repeats,
-                          enable_refresh=enable_refresh)
+#: The evaluation-reduction rows: scenario -> (drain measurer, refresh on).
+_REDUCTION_SCENARIOS = {
+    "streaming_conventional": (measure_hbm4_core, False),
+    "streaming_conventional_refresh": (measure_hbm4_core, True),
+    "rome_refresh": (measure_rome_core, True),
+}
 
 
-def streaming_conventional_comparison(total_bytes: int = 512 * 1024,
-                                      repeats: int = 2) -> Dict[str, Any]:
-    """Burst-train gate row: the conventional controller on a saturated
-    streaming drain, event core (with burst trains) vs the 1-ns tick core.
+def evaluation_reduction_row(scenario: str, total_bytes: int,
+                             repeats: int = 2) -> Dict[str, Any]:
+    """Tick-vs-event row for one streaming drain, with the factor by which
+    the event core cuts scheduler evaluations.
 
     The drain is cycle-exact across cores (asserted), so the row compares
-    wall-clock plus the scheduler-evaluation counts -- the tick core
-    evaluates once per nanosecond, while the event core's burst trains
-    cover whole runs of column/row commands per evaluation.
-    ``evaluation_reduction`` is the ``bench-smoke`` gate for the paper's
-    headline saturation scenario.
+    wall-clock plus the evaluation counts -- the tick core evaluates once
+    per nanosecond, while the event core's burst trains cover whole runs
+    of commands per evaluation.  ``scenario`` is one of:
+
+    * ``streaming_conventional`` -- the conventional controller on a
+      saturated streaming drain, the paper's headline saturation scenario
+      (``bench-smoke``'s ``--min-evaluation-reduction`` and
+      ``--min-conventional-speedup``);
+    * ``streaming_conventional_refresh`` -- the same drain with per-bank
+      refresh *on*, the configuration the paper actually evaluates:
+      refresh-aware planning must keep trains engaged across REFpb issue
+      points (``--min-refresh-evaluation-reduction``);
+    * ``rome_refresh`` -- the RoMe controller with refresh on, tracking the
+      paper's steady state (paired per-VBA refreshes interleaved with the
+      stream).
     """
-    row = {"scenario": "streaming_conventional"}
-    row.update(_hbm4_tick_vs_event(total_bytes, repeats))
-    row["evaluation_reduction"] = (
-        row["tick_evaluations"] / max(row["event_evaluations"], 1)
-    )
-    return row
-
-
-def streaming_conventional_refresh_comparison(
-    total_bytes: int = 512 * 1024,
-    repeats: int = 2,
-) -> Dict[str, Any]:
-    """Refresh-enabled burst-train gate row.
-
-    Same saturated streaming drain as
-    :func:`streaming_conventional_comparison` but with per-bank refresh
-    *on* -- the configuration the paper actually evaluates.  Refresh-aware
-    planning must keep trains engaged across REFpb issue points, so
-    ``evaluation_reduction`` here is gated by ``bench-smoke``'s
-    ``--min-refresh-evaluation-reduction``.
-    """
-    row = {"scenario": "streaming_conventional_refresh"}
-    row.update(_hbm4_tick_vs_event(total_bytes, repeats, enable_refresh=True))
-    row["evaluation_reduction"] = (
-        row["tick_evaluations"] / max(row["event_evaluations"], 1)
-    )
-    return row
-
-
-def rome_refresh_comparison(total_bytes: int = 128 * 1024,
-                            repeats: int = 2) -> Dict[str, Any]:
-    """Refresh-enabled RoMe row: tick vs event core on a streaming drain.
-
-    Exercises :func:`measure_rome_core` with ``enable_refresh=True`` so the
-    perf trajectory tracks the paper's steady state (paired per-VBA
-    refreshes interleaved with the stream) on the RoMe controller too.
-    """
-    row = {"scenario": "rome_refresh"}
-    row.update(_tick_vs_event(measure_rome_core, total_bytes, repeats,
-                              enable_refresh=True))
+    measure, enable_refresh = _REDUCTION_SCENARIOS[scenario]
+    row: Dict[str, Any] = {"scenario": scenario}
+    row.update(_tick_vs_event(measure, total_bytes, repeats,
+                              enable_refresh=enable_refresh))
     row["evaluation_reduction"] = (
         row["tick_evaluations"] / max(row["event_evaluations"], 1)
     )
@@ -199,6 +190,13 @@ def rome_refresh_comparison(total_bytes: int = 128 * 1024,
 def _best_rate(measure, core: str, repeats: int, **kwargs) -> Dict[str, Any]:
     rows = [measure(core, **kwargs) for _ in range(max(1, repeats))]
     return max(rows, key=lambda row: row["sim_ns_per_wall_s"])
+
+
+def _timed(fn):
+    """``(fn(), wall seconds)``."""
+    start = time.perf_counter()
+    result = fn()
+    return result, max(time.perf_counter() - start, 1e-9)
 
 
 # ------------------------------------------------------------- workloads
@@ -371,16 +369,8 @@ def measure_checkpoint_roundtrip(system: str, total_bytes: int,
 
     def build():
         if system == "rome":
-            controller = _rome_controller("event", enable_refresh=True)
-            _load_rome(controller, total_bytes)
-        else:
-            controller = ConventionalMemoryController(
-                config=ControllerConfig(num_stack_ids=1, enable_refresh=True)
-            )
-            for request in streaming_trace(total_bytes, request_bytes=4096,
-                                           kind=RequestKind.READ):
-                controller.enqueue(request)
-        return controller
+            return _loaded_rome("event", total_bytes, enable_refresh=True)
+        return _loaded_hbm4(total_bytes, enable_refresh=True)
 
     run_s = snapshot_s = restore_s = float("inf")
     snapshot_bytes = 0
@@ -645,6 +635,44 @@ def fleet_resilience_comparison() -> List[Dict[str, Any]]:
 # -------------------------------------------------------- observability
 
 
+def _obs_row(scenario: str, target: str, baseline, run_off, run_on,
+             repeats: int, replay=None) -> Dict[str, Any]:
+    """One ``observability`` row: ``run_off``/``run_on`` each run ``repeats``
+    times (best wall time kept); the off results must equal ``baseline``
+    and carry no recording, the on results (plus ``replay()``, when given)
+    must equal the first one *including* the exported Chrome-trace bytes.
+    Without ``replay`` at least two on runs are made: the determinism gate
+    needs a pair to compare."""
+    from repro.obs import to_chrome_trace
+
+    off_runs = [_timed(run_off) for _ in range(max(1, repeats))]
+    on_runs = [_timed(run_on)
+               for _ in range(max(1 if replay else 2, repeats))]
+    first = on_runs[0][0]
+    replays = [result for result, _ in on_runs[1:]]
+    if replay is not None:
+        replays.append(replay())
+    off_s = min(wall for _, wall in off_runs)
+    on_s = min(wall for _, wall in on_runs)
+    return {
+        "scenario": scenario,
+        "target": target,
+        "obs_off_identical": all(result == baseline
+                                 and result.trace is None
+                                 and result.metrics is None
+                                 for result, _ in off_runs),
+        "obs_on_deterministic": all(
+            result == first
+            and to_chrome_trace(result.trace) == to_chrome_trace(first.trace)
+            for result in replays),
+        "trace_events": len(first.trace.events),
+        "metric_series": len(first.metrics),
+        "off_ms": off_s * 1e3,
+        "on_ms": on_s * 1e3,
+        "overhead_x": on_s / off_s,
+    }
+
+
 def observability_comparison(repeats: int = 1) -> List[Dict[str, Any]]:
     """``observability`` rows for ``bench-smoke``, triple-gated by the
     CLI:
@@ -664,83 +692,29 @@ def observability_comparison(repeats: int = 1) -> List[Dict[str, Any]]:
     from dataclasses import replace as dc_replace
 
     from repro.fleet import run_fleet
-    from repro.obs import ObsConfig, to_chrome_trace
+    from repro.obs import ObsConfig
     from repro.workloads.driver import run_workload
 
     enabled = ObsConfig(trace=True, metrics=True)
     rows: List[Dict[str, Any]] = []
-
-    def timed(fn):
-        start = time.perf_counter()
-        result = fn()
-        return result, max(time.perf_counter() - start, 1e-9)
-
     for system in ("rome", "hbm4"):
         spec = saturating_decode_spec(system)
-        baseline = run_workload(spec)
-        off_runs = [timed(lambda: run_workload(
-            dc_replace(spec, obs=ObsConfig())))
-            for _ in range(max(1, repeats))]
-        # Always at least two enabled runs: the determinism gate needs
-        # a pair to compare.
-        on_runs = [timed(lambda: run_workload(
-            dc_replace(spec, obs=enabled)))
-            for _ in range(max(2, repeats))]
-        first = on_runs[0][0]
-        obs_off_identical = all(result == baseline
-                                and result.trace is None
-                                and result.metrics is None
-                                for result, _ in off_runs)
-        obs_on_deterministic = all(
-            result == first
-            and to_chrome_trace(result.trace) == to_chrome_trace(first.trace)
-            for result, _ in on_runs[1:])
-        off_s = min(wall for _, wall in off_runs)
-        on_s = min(wall for _, wall in on_runs)
-        rows.append({
-            "scenario": "obs-workload",
-            "target": system,
-            "obs_off_identical": obs_off_identical,
-            "obs_on_deterministic": obs_on_deterministic,
-            "trace_events": len(first.trace.events),
-            "metric_series": len(first.metrics),
-            "off_ms": off_s * 1e3,
-            "on_ms": on_s * 1e3,
-            "overhead_x": on_s / off_s,
-        })
+        rows.append(_obs_row(
+            "obs-workload", system, run_workload(spec),
+            lambda: run_workload(dc_replace(spec, obs=ObsConfig())),
+            lambda: run_workload(dc_replace(spec, obs=enabled)),
+            repeats))
 
     spec = fleet_campaign_spec()
-    baseline = run_fleet(spec)
     disabled_spec = dc_replace(spec, base=dc_replace(spec.base,
                                                      obs=ObsConfig()))
     enabled_spec = dc_replace(spec, base=dc_replace(spec.base, obs=enabled))
-    off_runs = [timed(lambda: run_fleet(disabled_spec))
-                for _ in range(max(1, repeats))]
-    on_runs = [timed(lambda: run_fleet(enabled_spec))
-               for _ in range(max(1, repeats))]
-    sharded, _ = timed(lambda: run_fleet(enabled_spec, workers=2))
-    first = on_runs[0][0]
-    obs_off_identical = all(result == baseline
-                            and result.trace is None
-                            and result.metrics is None
-                            for result, _ in off_runs)
-    obs_on_deterministic = all(
-        result == first
-        and to_chrome_trace(result.trace) == to_chrome_trace(first.trace)
-        for result, _ in on_runs[1:] + [(sharded, 0.0)])
-    off_s = min(wall for _, wall in off_runs)
-    on_s = min(wall for _, wall in on_runs)
-    rows.append({
-        "scenario": "obs-fleet",
-        "target": "fleet",
-        "obs_off_identical": obs_off_identical,
-        "obs_on_deterministic": obs_on_deterministic,
-        "trace_events": len(first.trace.events),
-        "metric_series": len(first.metrics),
-        "off_ms": off_s * 1e3,
-        "on_ms": on_s * 1e3,
-        "overhead_x": on_s / off_s,
-    })
+    rows.append(_obs_row(
+        "obs-fleet", "fleet", run_fleet(spec),
+        lambda: run_fleet(disabled_spec),
+        lambda: run_fleet(enabled_spec),
+        repeats,
+        replay=lambda: run_fleet(enabled_spec, workers=2)))
     return rows
 
 
@@ -843,41 +817,265 @@ def throughput_comparison(
     rome_bytes: int = 512 * 1024,
     hbm4_bytes: int = 96 * 1024,
     repeats: int = 3,
-    systems: Sequence[str] = ("rome", "hbm4"),
 ) -> List[Dict[str, Any]]:
     """Per-system core comparison rows with an event-vs-seed speedup.
 
     The drains are cycle-exact across cores (asserted), so the rows compare
     wall-clock only.
     """
-    rows: List[Dict[str, Any]] = []
-    if "rome" in systems:
-        seed = _best_rate(measure_rome_core, "seed-tick", repeats,
-                          total_bytes=rome_bytes)
-        tick = _best_rate(measure_rome_core, "tick", repeats,
-                          total_bytes=rome_bytes)
-        event = _best_rate(measure_rome_core, "event", repeats,
-                           total_bytes=rome_bytes)
-        if len({seed["simulated_ns"], tick["simulated_ns"],
-                event["simulated_ns"]}) != 1:
-            raise AssertionError("cores disagree on simulated time")
-        rows.append({
-            "system": "rome",
-            "total_bytes": rome_bytes,
-            "simulated_ns": event["simulated_ns"],
-            "seed_tick_ns_per_s": seed["sim_ns_per_wall_s"],
-            "tick_ns_per_s": tick["sim_ns_per_wall_s"],
-            "event_ns_per_s": event["sim_ns_per_wall_s"],
-            "speedup": (event["sim_ns_per_wall_s"]
-                        / max(seed["sim_ns_per_wall_s"], 1e-9)),
-            "tick_evaluations": tick["evaluations"],
-            "event_evaluations": event["evaluations"],
-        })
-    if "hbm4" in systems:
-        # No frozen seed reference exists for the conventional controller,
-        # so its speedup is event vs. the current tick wrapper only; the
-        # seed-tick column is intentionally absent.
-        row = {"system": "hbm4"}
-        row.update(_hbm4_tick_vs_event(hbm4_bytes, repeats))
-        rows.append(row)
-    return rows
+    seed = _best_rate(measure_rome_core, "seed-tick", repeats,
+                      total_bytes=rome_bytes)
+    tick = _best_rate(measure_rome_core, "tick", repeats,
+                      total_bytes=rome_bytes)
+    event = _best_rate(measure_rome_core, "event", repeats,
+                       total_bytes=rome_bytes)
+    if len({seed["simulated_ns"], tick["simulated_ns"],
+            event["simulated_ns"]}) != 1:
+        raise AssertionError("cores disagree on simulated time")
+    rome = {
+        "system": "rome",
+        "total_bytes": rome_bytes,
+        "simulated_ns": event["simulated_ns"],
+        "seed_tick_ns_per_s": seed["sim_ns_per_wall_s"],
+        "tick_ns_per_s": tick["sim_ns_per_wall_s"],
+        "event_ns_per_s": event["sim_ns_per_wall_s"],
+        "speedup": (event["sim_ns_per_wall_s"]
+                    / max(seed["sim_ns_per_wall_s"], 1e-9)),
+        "tick_evaluations": tick["evaluations"],
+        "event_evaluations": event["evaluations"],
+    }
+    # No frozen seed reference exists for the conventional controller, so
+    # its speedup is event vs. the current tick wrapper only; the
+    # seed-tick column is intentionally absent.
+    hbm4 = {"system": "hbm4"}
+    hbm4.update(_tick_vs_event(measure_hbm4_core, hbm4_bytes, repeats))
+    return [rome, hbm4]
+
+
+# ------------------------------------------------------ measure -> gate
+
+
+def measure_report(total_bytes: int, conventional_bytes: int, repeats: int,
+                   workers: int) -> Dict[str, Any]:
+    """Measure every ``bench-smoke`` section: the perf document of schema
+    :data:`SCHEMA` minus its ``meta`` and ``gates_passed`` stamps.
+
+    ``total_bytes`` sizes the RoMe drains, ``conventional_bytes`` the
+    conventional burst-train drains, ``repeats`` the best-of count of the
+    wall-clock rows and ``workers`` the sweep-runner pool.
+    """
+    return {
+        "core": throughput_comparison(
+            rome_bytes=total_bytes,
+            hbm4_bytes=min(total_bytes, 64 * 1024),
+            repeats=repeats,
+        ),
+        "streaming_conventional": evaluation_reduction_row(
+            "streaming_conventional", conventional_bytes, repeats),
+        "streaming_conventional_refresh": evaluation_reduction_row(
+            "streaming_conventional_refresh", conventional_bytes, repeats),
+        "rome_refresh": evaluation_reduction_row(
+            "rome_refresh", total_bytes, repeats),
+        "workload": workload_decode_serving_comparison(repeats=repeats),
+        "max_sustainable_rate": max_sustainable_rate_comparison(),
+        "checkpoint": checkpoint_roundtrip_comparison(
+            rome_bytes=total_bytes,
+            hbm4_bytes=min(conventional_bytes, 96 * 1024),
+            repeats=repeats,
+        ),
+        "reliability": reliability_comparison(),
+        "fleet": fleet_resilience_comparison(),
+        "observability": observability_comparison(repeats=repeats),
+        "sweep": sweep_throughput(workers=workers),
+        "cache": trace_cache_comparison(
+            total_bytes=min(total_bytes, 512 * 1024), repeats=repeats),
+    }
+
+
+@dataclass(frozen=True)
+class Gate:
+    """One ``bench-smoke`` gate over the rows of one report section.
+
+    A row fails when ``failed(row, threshold)`` holds, and the gate then
+    reports ``message(row, threshold)``.  Tunable gates carry the CLI
+    ``flag`` whose value (``name`` is its argparse dest) is the threshold,
+    with ``0`` disabling the gate; always-on gates have ``flag=None`` and
+    get ``threshold=None`` -- they guard correctness, not performance.
+    """
+
+    name: str
+    section: str
+    flag: Optional[str]
+    default: Optional[float]
+    help: str
+    failed: Callable[[Dict[str, Any], Optional[float]], bool]
+    message: Callable[[Dict[str, Any], Optional[float]], str]
+
+    def check(self, report: Mapping[str, Any],
+              threshold: Optional[float]) -> List[str]:
+        """Failure messages of this gate on ``report``."""
+        rows = report[self.section]
+        if isinstance(rows, dict):
+            rows = [rows]
+        return [self.message(row, threshold) for row in rows
+                if self.failed(row, threshold)]
+
+
+GATES = (
+    Gate("min_speedup", "core", "--min-speedup", 5.0,
+         "exit non-zero when the event core is slower than this multiple "
+         "of the seed core (0 disables)",
+         lambda row, t: row["system"] == "rome" and row["speedup"] < t,
+         lambda row, t: f"event core speedup {row['speedup']:.1f}x is "
+                        f"below the --min-speedup gate of {t:g}x"),
+    Gate("min_conventional_speedup", "streaming_conventional",
+         "--min-conventional-speedup", 1.2,
+         "exit non-zero when the conventional event core (burst trains) is "
+         "slower than this multiple of its tick core on the streaming "
+         "drain (0 disables)",
+         lambda row, t: row["speedup"] < t,
+         lambda row, t: f"conventional streaming speedup "
+                        f"{row['speedup']:.2f}x is below the "
+                        f"--min-conventional-speedup gate of {t:g}x"),
+    Gate("min_evaluation_reduction", "streaming_conventional",
+         "--min-evaluation-reduction", 10.0,
+         "exit non-zero when burst trains cut conventional scheduler "
+         "evaluations by less than this factor on the streaming drain "
+         "(0 disables)",
+         lambda row, t: row["evaluation_reduction"] < t,
+         lambda row, t: f"conventional scheduler-evaluation reduction "
+                        f"{row['evaluation_reduction']:.1f}x is below the "
+                        f"--min-evaluation-reduction gate of {t:g}x"),
+    Gate("min_refresh_evaluation_reduction", "streaming_conventional_refresh",
+         "--min-refresh-evaluation-reduction", 5.0,
+         "exit non-zero when refresh-aware burst trains cut conventional "
+         "scheduler evaluations by less than this factor on the "
+         "refresh-enabled streaming drain -- the configuration the paper "
+         "evaluates (0 disables)",
+         lambda row, t: row["evaluation_reduction"] < t,
+         lambda row, t: f"refresh-enabled evaluation reduction "
+                        f"{row['evaluation_reduction']:.1f}x is below the "
+                        f"--min-refresh-evaluation-reduction gate of {t:g}x"),
+    Gate("min_workload_bandwidth_fraction", "workload",
+         "--min-workload-bandwidth-fraction", 0.5,
+         "exit non-zero when the saturating decode-serving workload "
+         "delivers less than this fraction of peak bandwidth on either "
+         "controller (0 disables)",
+         lambda row, t: row["bandwidth_fraction"] < t,
+         lambda row, t: f"{row['system']} saturating decode-serving "
+                        f"workload delivered {row['bandwidth_fraction']:.2f} "
+                        f"of peak bandwidth, below the "
+                        f"--min-workload-bandwidth-fraction gate of {t:g}"),
+    Gate("min_goodput_fraction", "max_sustainable_rate",
+         "--min-goodput-fraction", 0.9,
+         "exit non-zero when the max-sustainable-rate search finds no "
+         "rate, or the goodput fraction at the found rate is below this, "
+         "on either controller (0 disables)",
+         lambda row, t: (row["max_rate_per_s"] <= 0
+                         or row["goodput_fraction"] < t),
+         lambda row, t: f"{row['system']} max-sustainable-rate search found "
+                        f"{row['max_rate_per_s']:g} req/s at goodput "
+                        f"fraction {row['goodput_fraction']:.2f}, below the "
+                        f"--min-goodput-fraction gate of {t:g}"),
+    Gate("checkpoint_identical", "checkpoint", None, None,
+         "checkpoint-restore-continue is bit-identical to the "
+         "uninterrupted run",
+         lambda row, t: not row["identical"],
+         lambda row, t: f"{row['system']} checkpoint-resume run diverged "
+                        f"from the uninterrupted run (bit-identity "
+                        f"violated)"),
+    Gate("max_checkpoint_overhead", "checkpoint",
+         "--max-checkpoint-overhead", 1.0,
+         "exit non-zero when a controller's checkpoint snapshot+restore "
+         "round-trip costs more than this fraction of the uninterrupted "
+         "run's wall time (0 disables; resume bit-identity is always "
+         "gated)",
+         lambda row, t: row["overhead_fraction"] > t,
+         lambda row, t: f"{row['system']} checkpoint snapshot+restore took "
+                        f"{row['overhead_fraction']:.2f} of the run's wall "
+                        f"time, above the --max-checkpoint-overhead gate "
+                        f"of {t:g}"),
+    Gate("reliability_zero_rate_identical", "reliability", None, None,
+         "a zero-fault-rate reliability config simulates bit-identically "
+         "to no config at all",
+         lambda row, t: not row["zero_rate_identical"],
+         lambda row, t: f"{row['system']} zero-fault-rate run diverged "
+                        f"from the no-reliability baseline (bit-identity "
+                        f"violated)"),
+    Gate("reliability_campaign_identical", "reliability", None, None,
+         "the seeded fault campaign is bit-identical across repeat runs "
+         "and exercises the RAS ladder",
+         lambda row, t: not row["campaign_identical"],
+         lambda row, t: f"{row['system']} seeded fault campaign was not "
+                        f"deterministic or did not exercise the RAS ladder "
+                        f"(corrected={row['corrected']}, due={row['due']}, "
+                        f"retries={row['retries']}, "
+                        f"scrubs={row['scrub_passes']})"),
+    Gate("fleet_zero_fault_identical", "fleet", None, None,
+         "a zero-fault single-replica fleet is bit-identical to the plain "
+         "closed-loop run",
+         lambda row, t: not row.get("zero_fault_identical", True),
+         lambda row, t: "zero-fault single-replica fleet diverged from the "
+                        "plain closed-loop run (bit-identity violated)"),
+    Gate("fleet_campaign_identical", "fleet", None, None,
+         "the seeded failover campaign is bit-identical across worker "
+         "counts and exercises failover",
+         lambda row, t: not row.get("campaign_identical", True),
+         lambda row, t: f"seeded failover campaign was not deterministic "
+                        f"across worker counts or did not exercise failover "
+                        f"(rerouted={row['rerouted']}, "
+                        f"hedged={row['hedged']}, "
+                        f"availability={row['availability']:.3f})"),
+    Gate("obs_off_identical", "observability", None, None,
+         "a run with observability disabled is bit-identical to the "
+         "unobserved run",
+         lambda row, t: not row["obs_off_identical"],
+         lambda row, t: f"{row['target']} run with observability disabled "
+                        f"diverged from the no-obs baseline (bit-identity "
+                        f"violated)"),
+    Gate("obs_on_deterministic", "observability", None, None,
+         "obs-enabled runs and their exported bytes are identical across "
+         "repeats and worker counts",
+         lambda row, t: not row["obs_on_deterministic"],
+         lambda row, t: f"{row['target']} obs-enabled run was not "
+                        f"byte-deterministic (trace or metrics differed "
+                        f"between identical runs)"),
+    Gate("max_obs_overhead", "observability", "--max-obs-overhead", 1.5,
+         "exit non-zero when an obs-enabled run takes more than this "
+         "multiple of the obs-off wall time (0 disables; obs-off "
+         "bit-identity and obs-on byte-determinism are always gated)",
+         lambda row, t: row["overhead_x"] > t,
+         lambda row, t: f"{row['target']} obs-enabled run took "
+                        f"{row['overhead_x']:.2f}x the obs-off wall time, "
+                        f"above the --max-obs-overhead gate of {t:g}x"),
+    Gate("warm_sweep_cache_hits", "sweep", None, None,
+         "the warm sweep re-run records trace-cache hits",
+         lambda row, t: row["phase"] == "warm" and row["cache_hits"] == 0,
+         lambda row, t: "warm sweep run recorded no trace-cache hits"),
+    Gate("cached_trace_setup", "cache", None, None,
+         "cached trace setup beats the cold derivation",
+         lambda row, t: row["warm_hits"] == 0
+         or row["warm_ms"] >= row["cold_ms"],
+         lambda row, t: f"cached trace setup ({row['warm_ms']:.3f} ms) is "
+                        f"not faster than the cold run "
+                        f"({row['cold_ms']:.3f} ms)"),
+)
+
+
+def evaluate_gates(report: Mapping[str, Any],
+                   thresholds: Mapping[str, float]) -> List[str]:
+    """Failure messages of every :data:`GATES` entry on ``report``.
+
+    ``thresholds`` maps each tunable gate's ``name`` to its threshold; a
+    threshold of ``0`` (or below) disables that gate.  Always-on gates
+    need no entry.
+    """
+    failures: List[str] = []
+    for gate in GATES:
+        threshold = None
+        if gate.flag is not None:
+            threshold = thresholds[gate.name]
+            if threshold <= 0:
+                continue
+        failures += gate.check(report, threshold)
+    return failures

@@ -60,7 +60,7 @@ __all__ = [
 #: Current checkpoint format version.  Bump when the pickled state layout
 #: changes incompatibly; :func:`load_checkpoint` and
 #: :func:`restore_controller` reject other versions loudly.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 #: Magic header of on-disk checkpoint files (rejects stray files before
 #: any unpickling happens).

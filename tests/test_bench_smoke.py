@@ -1,18 +1,26 @@
-"""Tier-1 smoke invocation of the ``bench-smoke`` CI gate.
+"""Tier-1 checks of the ``bench-smoke`` CI gate.
 
-Runs the real CLI entry point with thresholds low enough for the 1-CPU CI
-container, asserting (a) the gates pass and the perf document is written to
-the ``--output`` path, (b) a gate failure really exits non-zero -- so a perf
-regression in the burst-train fast path fails the tier-1 flow rather than
-only the (optional) benchmark suite -- and (c) the perf documents, including
-the BENCH_* trajectory committed at the repo root, satisfy the report schema
+The real CLI entry point runs once per session (the ``bench_smoke_run``
+fixture in ``conftest.py``) with thresholds low enough for the 1-CPU CI
+container.  These tests assert against that run that (a) the gates pass
+and the perf document is written to the ``--output`` path, (b) a gate
+failure really exits non-zero -- by re-gating the same report through the
+real CLI with an unreachable threshold, so a perf regression in the
+burst-train fast path fails the tier-1 flow rather than only the
+(optional) benchmark suite -- and (c) the perf documents, including the
+BENCH_* trajectory committed at the repo root, satisfy the report schema
 so the in-repo history stays machine-readable.
 """
 
+import copy
 import json
 import pathlib
+import re
+
+import pytest
 
 from repro.cli import main
+from repro.sim.bench import GATES, evaluate_gates
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -155,11 +163,23 @@ def _assert_report_schema(report):
     assert report["cache"]["cold_ms"] > 0
 
 
-def test_bench_smoke_gates_pass_and_write_perf_document(capsys, tmp_path):
-    out = tmp_path / "BENCH_test.json"
-    assert main(_argv(out)) == 0
-    capsys.readouterr()
-    report = json.loads(out.read_text())
+@pytest.fixture
+def regated(monkeypatch, bench_smoke_run):
+    """Make ``bench-smoke`` return the session's measured sections instead
+    of measuring again, so a test can drive the real CLI's gate step."""
+    sections = {key: value for key, value in bench_smoke_run.report.items()
+                if key != "meta"}
+
+    def measure_report(total_bytes, conventional_bytes, repeats, workers):
+        return copy.deepcopy(sections)
+
+    monkeypatch.setattr("repro.sim.bench.measure_report", measure_report)
+
+
+def test_bench_smoke_gates_pass_and_write_perf_document(bench_smoke_run):
+    assert bench_smoke_run.exit_code == 0
+    assert "FAIL" not in bench_smoke_run.stderr
+    report = bench_smoke_run.document
     assert report["gates_passed"] is True
     _assert_report_schema(report)
     assert report["meta"]["schema"] == 8
@@ -178,7 +198,8 @@ def test_bench_smoke_gates_pass_and_write_perf_document(capsys, tmp_path):
         assert row["bandwidth_fraction"] >= 0.5
 
 
-def test_bench_smoke_workload_gate_fails_when_unreachable(capsys, tmp_path):
+def test_bench_smoke_workload_gate_fails_when_unreachable(regated, capsys,
+                                                          tmp_path):
     out = tmp_path / "BENCH_workload_fail.json"
     assert main(_argv(out, **{"--min-workload-bandwidth-fraction": "1.0"})) \
         == 1
@@ -187,7 +208,8 @@ def test_bench_smoke_workload_gate_fails_when_unreachable(capsys, tmp_path):
     assert json.loads(out.read_text())["gates_passed"] is False
 
 
-def test_bench_smoke_goodput_gate_fails_when_unreachable(capsys, tmp_path):
+def test_bench_smoke_goodput_gate_fails_when_unreachable(regated, capsys,
+                                                         tmp_path):
     out = tmp_path / "BENCH_goodput_fail.json"
     assert main(_argv(out, **{"--min-goodput-fraction": "2"})) == 1
     captured = capsys.readouterr()
@@ -195,20 +217,70 @@ def test_bench_smoke_goodput_gate_fails_when_unreachable(capsys, tmp_path):
     assert json.loads(out.read_text())["gates_passed"] is False
 
 
-def test_bench_smoke_label_is_stamped_into_metadata(capsys, tmp_path):
+def test_bench_smoke_label_is_stamped_into_metadata(regated, capsys,
+                                                    tmp_path):
     out = tmp_path / "BENCH_label.json"
     assert main(_argv(out, **{"--label": "tier1@abc1234"})) == 0
     capsys.readouterr()
     assert json.loads(out.read_text())["meta"]["label"] == "tier1@abc1234"
 
 
-def test_bench_smoke_exits_nonzero_on_gate_failure(capsys, tmp_path):
+def test_bench_smoke_exits_nonzero_on_gate_failure(regated, capsys,
+                                                   tmp_path):
     out = tmp_path / "BENCH_fail.json"
     assert main(_argv(out, **{"--min-refresh-evaluation-reduction": "1e9"})) \
         == 1
     captured = capsys.readouterr()
     assert "refresh" in captured.err
     assert json.loads(out.read_text())["gates_passed"] is False
+
+
+def test_every_tunable_gate_fails_alone_and_zero_disables_it(
+        bench_smoke_run):
+    """Each threshold flag gates its own rows: an unreachable value fails
+    exactly that gate (naming its flag), and ``0`` switches it off."""
+    report = bench_smoke_run.document
+    argv = _argv("unused")
+    passing = {gate.name: (float(argv[argv.index(gate.flag) + 1])
+                           if gate.flag in argv else gate.default)
+               for gate in GATES if gate.flag}
+    assert evaluate_gates(report, passing) == []
+    for gate in GATES:
+        if not gate.flag:
+            continue
+        unreachable = 1e-9 if gate.name.startswith("max_") else 1e9
+        failures = evaluate_gates(report, {**passing, gate.name: unreachable})
+        assert failures and all(gate.flag in failure for failure in failures)
+        assert evaluate_gates(report, {**passing, gate.name: 0.0}) == []
+
+
+def test_committed_bench_document_passes_the_default_gates():
+    """The committed schema-8 document was measured with the default
+    parameters and passed; the gate table must still pass it at the
+    default thresholds."""
+    document = json.loads((REPO_ROOT / "BENCH_20260807.json").read_text())
+    assert document["meta"]["schema"] == 8
+    assert document["gates_passed"] is True
+    assert document["meta"]["parameters"] == {
+        "bytes": 128 * 1024, "conventional_bytes": 512 * 1024,
+        "repeats": 2, "workers": 1}
+    defaults = {gate.name: gate.default for gate in GATES if gate.flag}
+    assert evaluate_gates(document, defaults) == []
+
+
+def test_readme_gate_table_lists_every_gate_flag_and_default():
+    readme = (REPO_ROOT / "README.md").read_text()
+    table = readme[readme.index("| Gate | Flag | Default |"):]
+    table = table[:table.index("\n\n")]
+    defaults = {
+        match.group(1): float(match.group(2))
+        for match in re.finditer(r"\| `(--[a-z-]+)` \| ([0-9.]+)", table)
+    }
+    assert defaults == {gate.flag: gate.default for gate in GATES
+                        if gate.flag}
+    # Every always-on gate has a row too (Flag column "—").
+    assert table.count("| — |") == sum(1 for gate in GATES
+                                       if not gate.flag)
 
 
 def test_committed_bench_trajectory_matches_schema():
